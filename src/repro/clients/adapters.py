@@ -10,10 +10,11 @@ optimized code") made measurable.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable
 
 from ..baselines.andersen import AndersenResult
 from ..baselines.weihl import WeihlResult
+from ..core.solution import represented
 from ..frontend.semantics import AnalyzedProgram
 from ..icfg.graph import ICFG
 from ..icfg.ir import Node
@@ -38,10 +39,7 @@ class WeihlBackedSolution:
         self.ctx = NameContext(analyzed.symbols, k)
         self.k = k
         self._aliases = weihl.aliases
-        self._by_name: dict[ObjectName, set[ObjectName]] = {}
-        for pair in weihl.aliases:
-            self._by_name.setdefault(pair.first, set()).add(pair.second)
-            self._by_name.setdefault(pair.second, set()).add(pair.first)
+        self._by_name = _member_index(weihl.aliases)
 
     def may_alias(self, node: Node | int) -> set[AliasPair]:
         """The whole program relation (same at every node)."""
@@ -49,23 +47,18 @@ class WeihlBackedSolution:
 
     def may_alias_names(self, node: Node | int, name: ObjectName) -> set[ObjectName]:
         """Names aliased to ``name`` program-wide."""
-        return set(self._by_name.get(name, ()))
+        return {pair.other(name) for pair in self._by_name.get(name, ())}
+
+    def pairs_with_member(
+        self, node: Node | int, name: ObjectName
+    ) -> Iterable[AliasPair]:
+        """Program-wide pairs that have ``name`` as a member."""
+        return self._by_name.get(name, ())
 
     def alias_query(self, node: Node | int, a: ObjectName, b: ObjectName) -> bool:
-        """Program-wide alias query with truncated-representative coverage."""
-        if AliasPair(a, b) in self._aliases:
-            return True
-        for stored in self._by_name.get(a, ()):
-            if stored == b:
-                return True
-        # Truncated representatives stand for their extensions.
-        for pair in self._aliases:
-            for x, y in ((pair.first, pair.second), (pair.second, pair.first)):
-                x_ok = x == a or (x.truncated and x.is_prefix(a))
-                y_ok = y == b or (y.truncated and y.is_prefix(b))
-                if x_ok and y_ok:
-                    return True
-        return False
+        """Program-wide alias query with truncated-representative
+        coverage, read through the member index."""
+        return represented(self, node, a, b)
 
 
 class AndersenBackedSolution:
@@ -90,6 +83,10 @@ class AndersenBackedSolution:
         self.ctx = NameContext(analyzed.symbols, k)
         self.k = k
         self._aliases = andersen.aliases
+        # Exact members, for clients that extend stored names (the
+        # conflict prefix walk); the coarse per-base map below is what
+        # ``alias_query``/``may_alias_names`` answer from.
+        self._by_member = _member_index(andersen.aliases)
         self._by_base: dict[str, set[str]] = {}
         for pair in andersen.aliases:
             self._by_base.setdefault(pair.first.base, set()).add(pair.second.base)
@@ -122,7 +119,24 @@ class AndersenBackedSolution:
             ObjectName(base).deref() for base in self._by_base.get(name.base, ())
         }
 
+    def pairs_with_member(
+        self, node: Node | int, name: ObjectName
+    ) -> Iterable[AliasPair]:
+        """Program-wide pairs that have ``name`` as a member (exact
+        names, unlike the coarse :meth:`may_alias_names`)."""
+        return self._by_member.get(name, ())
+
     def alias_query(self, node: Node | int, a: ObjectName, b: ObjectName) -> bool:
         """Coarse query: may the storage below ``a``'s and ``b``'s base
         variables overlap?"""
         return self._bases_alias(a, b)
+
+
+def _member_index(aliases: Iterable[AliasPair]) -> dict[ObjectName, list[AliasPair]]:
+    """name -> the pairs that have it as a member."""
+    index: dict[ObjectName, list[AliasPair]] = {}
+    for pair in aliases:
+        index.setdefault(pair.first, []).append(pair)
+        if pair.second != pair.first:
+            index.setdefault(pair.second, []).append(pair)
+    return index

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from ..core.solution import MayAliasSolution
 from ..icfg.ir import Node
-from ..names.object_names import ObjectName
+from ..names.object_names import ObjectName, interned_prefixes
 from .accesses import Access, node_access
 
 
@@ -66,14 +66,15 @@ class ConflictAnalysis:
         # An access to `a` also touches any name reached through an
         # alias of a *prefix* of `a` (writing p->f clobbers q->f when
         # p == q) — checked for both arguments so the predicate is
-        # symmetric.
-        for stored in self.solution.may_alias(at):
-            for x, y in ((stored.first, stored.second), (stored.second, stored.first)):
-                for this, other in ((a, b), (b, a)):
-                    if x.is_prefix(this):
-                        image = y.extend(this.suffix_after(x))
-                        if image == other or self._contains(image, other):
-                            return True
+        # symmetric.  Only pairs with a member that is a prefix of the
+        # name can match, so read just those members' index buckets.
+        for this, other in ((a, b), (b, a)):
+            for x in interned_prefixes(this):
+                suffix = this.selectors[len(x.selectors):]
+                for stored in self.solution.pairs_with_member(at, x):
+                    image = stored.other(x).extend(suffix)
+                    if image == other or self._contains(image, other):
+                        return True
         return False
 
     def _overlap_either(self, a: ObjectName, b: ObjectName, n1: Node, n2: Node) -> bool:

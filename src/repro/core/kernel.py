@@ -76,8 +76,9 @@ from .metrics import (
     BudgetOutcome,
     EngineReport,
     PhaseTimer,
+    deadline_after,
 )
-from .store import StoreStats
+from .store import PostPass, StoreStats
 from .transfer import RhsView, _prefixes, _transplant_onto
 
 # Optional acceleration: numpy is used only for whole-column scans
@@ -275,6 +276,12 @@ class KernelStore:
     every client analysis work unchanged on kernel runs.  ``make_true``
     accepts object-level triples — the parallel slice closure uses it
     to warm-start a kernel with slice facts.
+
+    The view references its kernel and never the other way round
+    (:attr:`KernelAnalysis.store` builds a fresh view per access), so a
+    solved program's kernel is freed by reference counting as soon as
+    the last solution holding the view goes, without waiting for a
+    cyclic collection.
     """
 
     def __init__(self, kernel: "KernelAnalysis") -> None:
@@ -345,6 +352,17 @@ class KernelStore:
         if name_id is None:
             return iter(())
         return self._decode_bucket(k._by_node_name[nid].get(name_id))
+
+    def pairs_with_name(self, nid: int, name: ObjectName) -> list[AliasPair]:
+        k = self._kernel
+        name_id = k._name_ids.get(name)
+        if name_id is None:
+            return []
+        bucket = k._by_node_name[nid].get(name_id)
+        if not bucket:
+            return []
+        entry_pair, pairs = k._entry_pair, k._pairs
+        return [pairs[pid] for pid in dict.fromkeys(entry_pair[e] for e in bucket)]
 
     def at_node_with_base(
         self, nid: int, base: str
@@ -447,6 +465,29 @@ class KernelStore:
     def pairs_at(self, nid: int) -> set[AliasPair]:
         k = self._kernel
         return {k._pairs[k._entry_pair[e]] for e in k._by_node[nid]}
+
+    def postpass(self) -> PostPass:
+        """One pass over the fact columns with packed int keys
+        (``pair id << _SHIFT | node id``); only the distinct pairs are
+        decoded, at the end.  Int keys rather than ``(pid, nid)``
+        tuples: each new tuple counts toward the cyclic collector's
+        allocation threshold, and the collections that triggers scan
+        the whole live heap."""
+        k = self._kernel
+        entry_pair = k._entry_pair
+        node_pairs: set[int] = set()
+        clean: set[int] = set()
+        for nid, eid, taint in zip(k._fact_node, k._fact_entry, k._taint):
+            key = (entry_pair[eid] << _SHIFT) | nid
+            node_pairs.add(key)
+            if taint:
+                clean.add(key)
+        pairs = k._pairs
+        return PostPass(
+            len(node_pairs),
+            len(clean),
+            {pairs[pid] for pid in {key >> _SHIFT for key in node_pairs}},
+        )
 
     # -- updates ------------------------------------------------------------
 
@@ -630,7 +671,11 @@ class KernelAnalysis:
                 for succ in node.succs
             )
 
-        self.store = KernelStore(self)
+    @property
+    def store(self) -> KernelStore:
+        """Object-level view over this kernel's facts (see
+        :class:`KernelStore`: a new view each time, never cached)."""
+        return KernelStore(self)
 
     # -- interning ----------------------------------------------------------
 
@@ -874,12 +919,15 @@ class KernelAnalysis:
     # -- driver --------------------------------------------------------------
 
     def run(self) -> KernelStore:
+        # One deadline for the whole run: the retaint drain spends what
+        # the first drain left, it does not start a fresh budget.
+        deadline_at = deadline_after(self.deadline_seconds)
         with self.timer.phase(PHASE_INIT):
             self._initialize()
         with self.timer.phase(PHASE_PROPAGATE):
-            self._drain()
+            self._drain(deadline_at)
             if not self.budget.exceeded and self.seed_nodes is None:
-                self._retaint()
+                self._retaint(deadline_at)
         if self.budget.exceeded:
             with self.timer.phase(PHASE_POST):
                 self.budget.demoted_facts = self._taint_all()
@@ -1030,7 +1078,7 @@ class KernelAnalysis:
                         ct.entry_nid, self._single_aa(entry_pid), entry_pid, 1
                     )
 
-    def _retaint(self) -> None:
+    def _retaint(self, deadline_at: Optional[float]) -> None:
         """Second pass: recompute every CLEAN bit against the *frozen*
         fact set.
 
@@ -1047,7 +1095,7 @@ class KernelAnalysis:
         schedule — and the reference engine's — agree bit for bit."""
         self._taint_all()
         self._reseed_clean()
-        self._drain()
+        self._drain(deadline_at)
 
     def _reseed_clean(self) -> None:
         """Re-emit the unconditionally-CLEAN sources over an existing
@@ -1095,10 +1143,10 @@ class KernelAnalysis:
         records[record] = None
         return True
 
-    def _drain(self) -> None:
-        deadline_at: Optional[float] = None
-        if self.deadline_seconds is not None:
-            deadline_at = time.perf_counter() + self.deadline_seconds
+    def _drain(self, deadline_at: Optional[float]) -> None:
+        """Run the worklist to its fixpoint or until a budget trips;
+        ``deadline_at`` is an absolute ``time.perf_counter()`` value
+        (see :func:`deadline_after`), None for no deadline."""
         worklist = self._worklist
         pending = self._pending
         taint = self._taint

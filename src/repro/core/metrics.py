@@ -109,6 +109,15 @@ class BudgetOutcome:
         return outcome
 
 
+def deadline_after(seconds: Optional[float]) -> Optional[float]:
+    """The absolute ``time.perf_counter()`` value a wall-clock budget of
+    ``seconds`` runs out at (None: no deadline).  Engines take it once
+    per run and hand the same value to every drain."""
+    if seconds is None:
+        return None
+    return time.perf_counter() + seconds
+
+
 @dataclass(slots=True)
 class EngineReport:
     """Engine counters for one completed (or budget-truncated) run."""

@@ -16,9 +16,9 @@ from ..icfg.graph import ICFG
 from ..icfg.ir import Node
 from ..names.alias_pairs import AliasPair
 from ..names.context import NameContext
-from ..names.object_names import ObjectName
+from ..names.object_names import ObjectName, interned_prefixes
 from .metrics import BudgetOutcome, EngineReport, PhaseTimer
-from .store import CLEAN, MayHoldStore
+from .store import MayHoldStore, PostPass
 
 STATS_SCHEMA = "repro-stats/1"
 
@@ -77,33 +77,29 @@ class MayAliasSolution:
 
     def may_alias_names(self, node: Node | int, name: ObjectName) -> set[ObjectName]:
         """Names possibly aliased to ``name`` at ``node``."""
+        return {pair.other(name) for pair in self.pairs_with_member(node, name)}
+
+    def pairs_with_member(
+        self, node: Node | int, name: ObjectName
+    ) -> list[AliasPair]:
+        """Distinct pairs at ``node`` that have ``name`` as a member, in
+        derivation order — one read of the store's per-name index."""
         nid = node if isinstance(node, int) else node.nid
-        return {
-            pair.other(name)
-            for _, pair in self.store.at_node_with_name(nid, name)
-        }
+        return self.store.pairs_with_name(nid, name)
 
     def alias_query(self, node: Node | int, a: ObjectName, b: ObjectName) -> bool:
         """May ``a`` and ``b`` be aliases at ``node``?  Honors the
         k-limited-representative convention: a truncated pair member
         represents all of its extensions."""
-        nid = node if isinstance(node, int) else node.nid
-        target = AliasPair(a, b)
-        if target in self.may_alias(nid):
-            return True
-        for _, pair in self.store.at_node(nid):
-            if _represents(pair, target):
-                return True
-        return False
+        return represented(self, node, a, b)
 
     def program_aliases(self, include_nonvisible: bool = False) -> set[AliasPair]:
         """Paper Table 1: ``{(a, b) | exists ICFG node n with
         (a, b) in may_alias(n)}``."""
-        out: set[AliasPair] = set()
-        for (nid, _, pair), _clean in self.store.facts():
-            if include_nonvisible or not pair.has_nonvisible:
-                out.add(pair)
-        return out
+        pairs = self.store.postpass().pairs
+        if include_nonvisible:
+            return pairs
+        return {pair for pair in pairs if not pair.has_nonvisible}
 
     def node_pairs(self) -> Iterator[tuple[int, AliasPair]]:
         """Distinct (node, pair) combinations."""
@@ -121,30 +117,23 @@ class MayAliasSolution:
         one derivation free of type-2/3/4 approximations.  The paper
         proves %YES_k(P) <= 100 * (1 / precision_k(landi, P)), i.e. this
         is a lower bound on true precision."""
-        yes: set[tuple[int, AliasPair]] = set()
-        all_facts: set[tuple[int, AliasPair]] = set()
-        for (nid, _, pair), clean in self.store.facts():
-            key = (nid, pair)
-            all_facts.add(key)
-            if clean is CLEAN:
-                yes.add(key)
-        if not all_facts:
-            # Zero-alias program: vacuously precise (and the 0/0 ratio
-            # would otherwise be nan).
-            return 100.0
-        return max(0.0, min(100.0, 100.0 * len(yes) / len(all_facts)))
+        return _percent_yes(self.store.postpass())
 
     # -- reporting --------------------------------------------------------------------
 
     def stats(self) -> SolutionStats:
-        """Aggregate numbers in the shape the paper reports."""
-        node_pairs = sum(1 for _ in self.node_pairs())
+        """Aggregate numbers in the shape the paper reports, read off
+        one :meth:`~repro.core.store.MayHoldStore.postpass`: time linear
+        in the facts, with only the distinct pairs decoded."""
+        post = self.store.postpass()
         return SolutionStats(
             icfg_nodes=len(self.icfg),
             may_hold_facts=len(self.store),
-            node_alias_count=node_pairs,
-            program_alias_count=len(self.program_aliases()),
-            percent_yes=self.percent_yes(),
+            node_alias_count=post.node_pairs,
+            program_alias_count=sum(
+                1 for pair in post.pairs if not pair.has_nonvisible
+            ),
+            percent_yes=_percent_yes(post),
             analysis_seconds=self.analysis_seconds,
             engine=self.engine,
             phases=self.phases.as_dict(),
@@ -184,10 +173,42 @@ class MayAliasSolution:
         return "\n".join(lines)
 
 
+def _percent_yes(post: PostPass) -> float:
+    if not post.node_pairs:
+        # Zero-alias program: vacuously precise (and the 0/0 ratio
+        # would otherwise be nan).
+        return 100.0
+    return max(0.0, min(100.0, 100.0 * post.clean_node_pairs / post.node_pairs))
+
+
+def _covers(stored: ObjectName, queried: ObjectName) -> bool:
+    """Does a stored pair member stand for ``queried``?  Itself, or as
+    a truncated prefix (paper §3: ``b~`` represents every ``b+sigma``)."""
+    return stored == queried or (stored.truncated and stored.is_prefix(queried))
+
+
+def represented(provider, node: Node | int, a: ObjectName, b: ObjectName) -> bool:
+    """Is the pair ``(a, b)`` represented at ``node`` by a pair of
+    ``provider`` (anything with ``pairs_with_member``)?
+
+    A stored pair represents ``(a, b)`` only when one member covers
+    ``a`` — ``a`` itself or one of its truncated prefixes, at most
+    ``len(a.selectors) + 2`` names — and the other member covers ``b``.
+    So the query reads those few names' index buckets instead of every
+    pair at the node, and looks the names up without interning them."""
+    for member in (a, *interned_prefixes(a, truncated_only=True)):
+        for pair in provider.pairs_with_member(node, member):
+            if _covers(pair.other(member), b):
+                return True
+    return False
+
+
 def _represents(stored: AliasPair, query: AliasPair) -> bool:
     """Does a stored (possibly truncated) pair represent the queried
     pair?  Paper §3: ``(a, b~)`` represents every ``(a, b+sigma)``; with
-    two truncated members each side represents its own extensions."""
+    two truncated members each side represents its own extensions.
+    :func:`represented` answers the same question for all pairs at a
+    node through the member index."""
     for s_first, s_second in (
         (stored.first, stored.second),
         (stored.second, stored.first),
@@ -196,12 +217,6 @@ def _represents(stored: AliasPair, query: AliasPair) -> bool:
             (query.first, query.second),
             (query.second, query.first),
         ):
-            first_ok = s_first == q_first or (
-                s_first.truncated and s_first.is_prefix(q_first)
-            )
-            second_ok = s_second == q_second or (
-                s_second.truncated and s_second.is_prefix(q_second)
-            )
-            if first_ok and second_ok:
+            if _covers(s_first, q_first) and _covers(s_second, q_second):
                 return True
     return False

@@ -53,6 +53,17 @@ class StoreStats:
     upgrades: int = 0
 
 
+@dataclass(frozen=True, slots=True)
+class PostPass:
+    """The solution's aggregates, read in one pass over the relation:
+    distinct ``(node, pair)`` combinations, those with at least one
+    CLEAN fact (the ``%YES_k`` numerator), and the distinct pairs."""
+
+    node_pairs: int
+    clean_node_pairs: int
+    pairs: set[AliasPair]
+
+
 class MayHoldStore:
     """Hash-backed may-hold relation with the analysis worklist.
 
@@ -109,6 +120,14 @@ class MayHoldStore:
         """Facts at ``nid`` whose pair has ``name`` as a member."""
         return iter(tuple(self._by_node_name.get((nid, name), ())))
 
+    def pairs_with_name(self, nid: int, name: ObjectName) -> list[AliasPair]:
+        """Distinct pairs at ``nid`` that have ``name`` as a member, in
+        derivation order (the per-name index without the assumptions)."""
+        bucket = self._by_node_name.get((nid, name))
+        if not bucket:
+            return []
+        return list(dict.fromkeys(pair for _, pair in bucket))
+
     def at_node_with_base(
         self, nid: int, base: str
     ) -> Iterator[tuple[Assumption, AliasPair]]:
@@ -131,6 +150,19 @@ class MayHoldStore:
     def pairs_at(self, nid: int) -> set[AliasPair]:
         """may_alias(nid): pairs true at the node under any assumption."""
         return {pair for _, pair in self._by_node.get(nid, ())}
+
+    def postpass(self) -> PostPass:
+        """One pass over the relation (see :class:`PostPass`)."""
+        node_pairs: set[tuple[int, AliasPair]] = set()
+        clean: set[tuple[int, AliasPair]] = set()
+        for (nid, _, pair), taint in self._facts.items():
+            key = (nid, pair)
+            node_pairs.add(key)
+            if taint is CLEAN:
+                clean.add(key)
+        return PostPass(
+            len(node_pairs), len(clean), {pair for _, pair in node_pairs}
+        )
 
     # -- updates ---------------------------------------------------------------
 

@@ -51,6 +51,7 @@ from .metrics import (
     BudgetOutcome,
     EngineReport,
     PhaseTimer,
+    deadline_after,
 )
 from .store import CLEAN, MayHoldStore
 from .transfer import AssignTransfer
@@ -178,18 +179,19 @@ class MayHoldAnalysis:
         partial store is a subset of the full run's facts, with nothing
         certified precise).  The caller decides whether that outcome is
         an error (see :func:`repro.core.analysis.analyze_program`)."""
+        deadline_at = deadline_after(self.deadline_seconds)
         with self.timer.phase(PHASE_INIT):
             self._initialize()
         with self.timer.phase(PHASE_PROPAGATE):
-            self._drain()
+            self._drain(deadline_at)
             if not self.budget.exceeded and self.seed_nodes is None:
-                self._retaint()
+                self._retaint(deadline_at)
         if self.budget.exceeded:
             with self.timer.phase(PHASE_POST):
                 self.budget.demoted_facts = self.store.taint_all()
         return self.store
 
-    def _retaint(self) -> None:
+    def _retaint(self, deadline_at: Optional[float]) -> None:
         """Second pass: recompute every CLEAN bit against the frozen
         fact set (see :meth:`KernelAnalysis._retaint` — the two engines
         mirror each other here as everywhere, including the reseed
@@ -201,7 +203,7 @@ class MayHoldAnalysis:
         schedule-independent fixpoint."""
         self.store.taint_all()
         self._reseed_clean()
-        self._drain()
+        self._drain(deadline_at)
 
     def _reseed_clean(self) -> None:
         """Re-emit the unconditionally-CLEAN sources over an existing
@@ -227,10 +229,7 @@ class MayHoldAnalysis:
                 for assumption, pair in self.store.at_node(entry.nid):
                     self.store.make_true(entry.nid, assumption, pair, CLEAN)
 
-    def _drain(self) -> None:
-        deadline_at: Optional[float] = None
-        if self.deadline_seconds is not None:
-            deadline_at = time.perf_counter() + self.deadline_seconds
+    def _drain(self, deadline_at: Optional[float]) -> None:
         while True:
             fact = self.store.pop()
             if fact is None:

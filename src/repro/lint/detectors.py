@@ -2,11 +2,12 @@
 
 Every detector consumes the :class:`~repro.core.solution.MayAliasSolution`
 query surface only — ``may_alias(node)``, ``may_alias_names``,
-``alias_query``, ``.ctx``, ``.icfg`` — so any provider presenting that
-surface (the Landi/Ryder engine, :class:`WeihlBackedSolution`, the
-Andersen adapter) can drive them.  Precision differences between
-providers become visible as extra findings, which is exactly the
-false-positive delta the validation layer measures.
+``pairs_with_member``, ``alias_query``, ``.ctx``, ``.icfg`` — so any
+provider presenting that surface (the Landi/Ryder engine,
+:class:`WeihlBackedSolution`, the Andersen adapter) can drive them.
+Precision differences between providers become visible as extra
+findings, which is exactly the false-positive delta the validation
+layer measures.
 
 Soundness contract (checked dynamically by :mod:`repro.lint.validation`):
 
@@ -449,6 +450,7 @@ def find_dangling_escapes(solution: MayAliasSolution) -> Iterator[Finding]:
     for proc, graph in icfg.procs.items():
         if proc == icfg.entry_proc:
             continue
+        escapes: list[tuple[str, ObjectName, ObjectName]] = []
         for pair in solution.may_alias(graph.exit):
             for dying, holder in (
                 (pair.first, pair.second),
@@ -463,21 +465,27 @@ def find_dangling_escapes(solution: MayAliasSolution) -> Iterator[Finding]:
                     continue
                 if not _escaping_holder(ctx, proc, holder):
                     continue
-                definite = _must_query(solution, graph.exit, dying, holder)
-                yield Finding(
-                    rule=RULE_DANGLING,
-                    severity="error",
-                    message=(
-                        f"address of '{dying}' (stack storage of {proc}) "
-                        f"escapes through '{holder}'"
-                    ),
-                    proc=proc,
-                    node_id=graph.exit.nid,
-                    span=graph.exit.span,
-                    name=dying,
-                    witnesses=(str(pair),),
-                    confidence="definite" if definite else "possible",
-                )
+                escapes.append((str(pair), dying, holder))
+        # Fixed order: when several holders let one local escape, only
+        # the first finding survives dedup, so the witness it reports
+        # must not depend on set iteration order.
+        escapes.sort(key=lambda escape: escape[0])
+        for witness, dying, holder in escapes:
+            definite = _must_query(solution, graph.exit, dying, holder)
+            yield Finding(
+                rule=RULE_DANGLING,
+                severity="error",
+                message=(
+                    f"address of '{dying}' (stack storage of {proc}) "
+                    f"escapes through '{holder}'"
+                ),
+                proc=proc,
+                node_id=graph.exit.nid,
+                span=graph.exit.span,
+                name=dying,
+                witnesses=(witness,),
+                confidence="definite" if definite else "possible",
+            )
 
 
 # -- dead stores --------------------------------------------------------------

@@ -73,7 +73,9 @@ def make_provider(
         from ..baselines.weihl import weihl_aliases
         from ..clients.adapters import WeihlBackedSolution
 
-        return WeihlBackedSolution(analyzed, icfg, weihl_aliases(analyzed, icfg), k=k)
+        return WeihlBackedSolution(
+            analyzed, icfg, weihl_aliases(analyzed, icfg, k=k), k=k
+        )
     if name == "andersen":
         from ..baselines.andersen import andersen_aliases
         from ..clients.adapters import AndersenBackedSolution

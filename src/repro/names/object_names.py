@@ -21,7 +21,7 @@ represented by ``p->f1`` — *not* by ``*p``).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 DEREF = "*"
 
@@ -69,6 +69,16 @@ class ObjectName:
         object.__setattr__(self, "_hash", hash(key))
         _INTERN[key] = self
         return self
+
+    @staticmethod
+    def lookup(
+        base: str, selectors: tuple[str, ...] = (), truncated: bool = False
+    ) -> Optional["ObjectName"]:
+        """The canonical instance for ``(base, selectors, truncated)``,
+        or None when that name was never built.  Unlike the constructor
+        it never grows the intern table, so queries can probe indexes
+        keyed by names without minting new ones."""
+        return _INTERN.get((base, selectors, truncated))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"ObjectName is immutable (tried to set {name!r})")
@@ -236,6 +246,25 @@ def nonvisible(index: int = 1) -> ObjectName:
     ordinary single-assumption facts always use index 1.
     """
     return ObjectName(NONVISIBLE_BASES[index - 1])
+
+
+def interned_prefixes(
+    name: ObjectName, truncated_only: bool = False
+) -> Iterator[ObjectName]:
+    """Every existing name ``x`` with ``x.is_prefix(name)``, shortest
+    first: ``name``'s selector prefixes, truncated or not (only the
+    truncated ones with ``truncated_only``).  A stored pair can speak
+    about ``name`` only through such a member, so this is the short
+    list of index keys a query reads; probing never interns."""
+    base, selectors = name.base, name.selectors
+    flags = (True,) if truncated_only else (False, True)
+    lookup = ObjectName.lookup
+    for i in range(len(selectors) + 1):
+        head = selectors[:i]
+        for truncated in flags:
+            found = lookup(base, head, truncated)
+            if found is not None:
+                yield found
 
 
 def interned_name_count() -> int:

@@ -83,6 +83,7 @@ from ..core.metrics import (
     BudgetOutcome,
     EngineReport,
     PhaseTimer,
+    deadline_after,
 )
 from ..core.store import StoreStats
 from ..frontend.semantics import AnalyzedProgram, parse_and_analyze
@@ -318,8 +319,7 @@ class ProcSolver:
         False when a budget tripped (the kernel's ``budget`` says why)."""
         kernel = self.kernel
         assert kernel is not None
-        kernel.deadline_seconds = deadline_remaining
-        kernel._drain()
+        kernel._drain(deadline_after(deadline_remaining))
         return not kernel.budget.exceeded
 
     def harvest(self) -> dict:
@@ -513,11 +513,7 @@ class SummaryAnalysis:
     def run(self) -> KernelStore:
         with self.timer.phase(PHASE_INIT):
             self._setup()
-        deadline_at = (
-            None
-            if self.deadline_seconds is None
-            else time.perf_counter() + self.deadline_seconds
-        )
+        deadline_at = deadline_after(self.deadline_seconds)
         with self.timer.phase(PHASE_PROPAGATE):
             try:
                 self._solve_rounds(deadline_at, parallel_ok=True)

@@ -7,6 +7,8 @@ demoted to TAINTED — a progress report that never claims precision it
 cannot certify.
 """
 
+import time
+
 import pytest
 
 from repro import BudgetExceeded, analyze_source
@@ -88,3 +90,33 @@ class TestDeadline:
         solution = analyze_source(FIGURE1, k=3, deadline_seconds=600.0)
         assert solution.complete
         assert solution.budget.reason is None
+
+    @pytest.mark.parametrize("engine", ["kernel", "reference"])
+    def test_retaint_spends_the_same_deadline(self, engine, monkeypatch):
+        # A stubbed clock stands still through the first drain and then
+        # jumps past the budget while retaint reseeds.  One deadline per
+        # run means the retaint drain trips it; a drain that restarted
+        # the budget would finish and report a complete run.
+        from repro.core.kernel import KernelAnalysis
+        from repro.core.worklist import MayHoldAnalysis
+
+        now = [0.0]
+        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+        cls = KernelAnalysis if engine == "kernel" else MayHoldAnalysis
+        reseed = cls._reseed_clean
+
+        def reseed_late(self):
+            now[0] = 15.0
+            reseed(self)
+
+        monkeypatch.setattr(cls, "_reseed_clean", reseed_late)
+        solution = analyze_source(
+            _scaling_source(100),
+            k=3,
+            deadline_seconds=10.0,
+            on_budget="partial",
+            engine=engine,
+        )
+        assert now[0] == 15.0  # retaint ran
+        assert not solution.complete
+        assert solution.budget.reason == "deadline"

@@ -6,12 +6,16 @@ are computable.  ``lowered_dynamic_check``: leniently lowered programs
 must stay sound against the dynamic oracle where interpretable.
 """
 
+import pathlib
+
 import pytest
 
 pycparser = pytest.importorskip("pycparser")
 
 from repro.corpus import stub_superset_check
 from repro.corpus.soundness import _owner, lowered_dynamic_check
+
+CORPUS = pathlib.Path(__file__).resolve().parents[3] / "corpus"
 
 FIXTURE = """
 struct box { int *slot; };
@@ -90,3 +94,12 @@ class TestLoweredDynamic:
         assert result["interpretable"]
         assert result["observed_pairs"] > 0
         assert result["ledger"]["event_counts"].get("cast-erased") == 1
+
+    def test_escaped_char_literals_interpret(self):
+        # strbuf.c writes '\0' terminators: the lowering must hand the
+        # interpreter the one character, not the two-character escape.
+        source = (CORPUS / "strbuf.c").read_text()
+        assert "'\\0'" in source
+        result = lowered_dynamic_check(source, "strbuf.c", k=1, draws=4)
+        assert result["ok"], result["violations"]
+        assert result["interpretable"]

@@ -2,6 +2,11 @@
 should, stays quiet where it shouldn't, and flow sensitivity is
 visible in the LR-vs-Weihl comparison."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.lint import run_lint
@@ -104,6 +109,32 @@ class TestDangling:
             " int main() { return mk(); }"
         )
         assert RULE_DANGLING not in seen
+
+
+    # One dying local, three surviving holders: the finding keeps one
+    # witness, and which one must not depend on set iteration order.
+    MANY_HOLDERS = (
+        "int **g0; int *g4; int *g7;"
+        " void leak() { int x; int *p; p = &x; g4 = p; g7 = p; g0 = &g4; }"
+        " int main() { leak(); return 0; }"
+    )
+
+    def test_witness_independent_of_hash_seed(self, tmp_path):
+        path = tmp_path / "leak.c"
+        path.write_text(self.MANY_HOLDERS)
+        src = str(pathlib.Path(__file__).resolve().parents[3] / "src")
+        rendered = set()
+        for seed in ("1", "2", "3", "5"):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "lint", str(path)],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            )
+            assert "dangling-escape" in done.stdout, done.stderr
+            rendered.add(done.stdout)
+        assert len(rendered) == 1
 
 
 class TestDeadStore:

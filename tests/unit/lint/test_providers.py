@@ -83,3 +83,16 @@ def test_comparison_tags_only_sensitive_rules():
 
 def test_self_check_is_clean():
     assert self_check() == []
+
+
+def test_weihl_provider_honors_k():
+    from repro import parse_and_analyze
+    from repro.baselines.weihl import weihl_aliases
+    from repro.icfg.builder import build_icfg
+
+    analyzed = parse_and_analyze(ALL_FIXTURES["linked_list"])
+    icfg = build_icfg(analyzed)
+    provider = make_provider("weihl", analyzed, icfg, k=1)
+    node = icfg.nodes[-1]
+    assert provider.may_alias(node) == weihl_aliases(analyzed, icfg, k=1).aliases
+    assert provider.may_alias(node) != weihl_aliases(analyzed, icfg, k=3).aliases
